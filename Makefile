@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fuzz bench-smoke bench-json pprof serve-demo ci
+.PHONY: all build test race lint fuzz bench-smoke bench-json pprof pprof-refresh serve-demo ci
 
 all: build
 
@@ -87,6 +87,20 @@ pprof:
 		-cpuprofile cpu.prof -memprofile mem.prof \
 		-mutexprofile mutex.prof -blockprofile block.prof ./internal/results/
 	@echo "profiles written: cpu.prof mem.prof mutex.prof block.prof (go tool pprof cpu.prof)"
+
+# CPU + heap profiles of the incremental refresh loop (selective Map
+# through the structure span index, MRBG merge, reduce, checkpoint):
+# BenchmarkIncrementalRefresh, an incremental PageRank refresh per op.
+# The test binary and profiles go to PROFDIR, outside the repository:
+# `make pprof-refresh` then `go tool pprof -top $PROFDIR/cpu.prof`.
+PROFDIR ?= $(or $(TMPDIR),/tmp)/i2mr-pprof-refresh
+
+pprof-refresh:
+	mkdir -p $(PROFDIR)
+	$(GO) test -run '^$$' -bench '^BenchmarkIncrementalRefresh$$' -benchtime 20x \
+		-o $(PROFDIR)/core.test -outputdir $(PROFDIR) \
+		-cpuprofile cpu.prof -memprofile mem.prof ./internal/core/
+	@echo "profiles written: $(PROFDIR)/cpu.prof $(PROFDIR)/mem.prof (go tool pprof -top $(PROFDIR)/cpu.prof)"
 
 # Run the online serving demo: wordcount over a generated corpus,
 # HTTP on :8080, a background delta refresh every 5s. Try

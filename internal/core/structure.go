@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"sort"
@@ -121,38 +120,17 @@ func (sp *structPart) readAll(fn func(p kv.Pair) error) error {
 	return iter.ReadStructFile(sp.path, fn)
 }
 
-// readDK reads only the records projecting to dk, using the span index
-// (one positioned read instead of a full scan). Missing dk is a no-op.
-// It returns the number of bytes read.
-func (sp *structPart) readDK(dk string, fn func(p kv.Pair) error) (int64, error) {
-	s, ok := sp.spans[dk]
-	if !ok {
-		return 0, nil
-	}
-	f, err := os.Open(sp.path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	buf := make([]byte, s.len)
-	if _, err := f.ReadAt(buf, s.off); err != nil {
-		return 0, fmt.Errorf("core: structure span read %q: %w", dk, err)
-	}
-	ps, err := kv.DecodePairs(bytes.NewReader(buf))
-	if err != nil {
-		return s.len, fmt.Errorf("core: structure span decode %q: %w", dk, err)
-	}
-	for _, p := range ps {
-		if err := fn(p); err != nil {
-			return s.len, err
-		}
-	}
-	return s.len, nil
-}
-
 // readDKsSorted reads the records of several state keys with one file
 // handle, in sorted key order (sequential-ish access, since spans of
-// sorted DKs are laid out in file order). It returns total bytes read.
+// sorted DKs are laid out in file order). Each span is one positioned
+// read into a buffer reused across keys, decoded in place; key and
+// value are copied out before the buffer is reused, since callers keep
+// substrings of them (PageRank's Map emits fields of SV as K2s). A
+// span that fails to decode is an error wrapping kv.ErrCorrupt, after
+// fn has seen the span's records before the bad one; the decode never
+// runs past the span's end, so a bad length prefix cannot pull records
+// from another span. Missing dks are skipped. It returns the total
+// bytes read.
 func (sp *structPart) readDKsSorted(dks []string, fn func(dk string, p kv.Pair) error) (int64, error) {
 	f, err := os.Open(sp.path)
 	if err != nil {
@@ -160,22 +138,27 @@ func (sp *structPart) readDKsSorted(dks []string, fn func(dk string, p kv.Pair) 
 	}
 	defer f.Close()
 	var total int64
+	var buf []byte
 	for _, dk := range dks {
 		s, ok := sp.spans[dk]
 		if !ok {
 			continue
 		}
-		buf := make([]byte, s.len)
-		if _, err := f.ReadAt(buf, s.off); err != nil {
+		if int64(cap(buf)) < s.len {
+			buf = make([]byte, s.len)
+		}
+		rest := buf[:s.len]
+		if _, err := f.ReadAt(rest, s.off); err != nil {
 			return total, fmt.Errorf("core: structure span read %q: %w", dk, err)
 		}
 		total += s.len
-		ps, err := kv.DecodePairs(bytes.NewReader(buf))
-		if err != nil {
-			return total, fmt.Errorf("core: structure span decode %q: %w", dk, err)
-		}
-		for _, p := range ps {
-			if err := fn(dk, p); err != nil {
+		for len(rest) > 0 {
+			k, v, n, err := kv.DecodePairInPlace(rest)
+			if err != nil {
+				return total, fmt.Errorf("core: structure span decode %q: %w", dk, err)
+			}
+			rest = rest[n:]
+			if err := fn(dk, kv.Pair{Key: string(k), Value: string(v)}); err != nil {
 				return total, err
 			}
 		}

@@ -108,7 +108,10 @@ type Reader struct {
 	Records int64
 }
 
-// NewReader returns a Reader decoding from r.
+// NewReader returns a Reader decoding from r. Each call allocates a
+// 64 KiB read buffer, so a Reader is for streams (files, network
+// bodies); to decode a frame already in memory, loop over
+// DecodePairInPlace instead.
 func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReaderSize(r, 64<<10)}
 }
@@ -239,7 +242,9 @@ func EncodePairs(w io.Writer, ps []Pair) (int64, error) {
 	return enc.Bytes, enc.Flush()
 }
 
-// DecodePairs reads all pairs from r until EOF.
+// DecodePairs reads all pairs from r until EOF. It decodes through a
+// NewReader, so each call allocates a 64 KiB read buffer: use it for
+// streams, and DecodePairInPlace for bytes already in memory.
 func DecodePairs(r io.Reader) ([]Pair, error) {
 	dec := NewReader(r)
 	var out []Pair

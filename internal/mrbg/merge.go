@@ -2,10 +2,12 @@ package mrbg
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 
 	"i2mapreduce/internal/blockio"
 	"i2mapreduce/internal/fsutil"
@@ -28,8 +30,9 @@ type MergeResult struct {
 // so the caller can re-run Reduce, and appends the new chunk version
 // through the append buffer as the next sorted batch.
 //
-// delta does not need to be sorted; Merge sorts a copy. Records with
-// the same (key, MK) apply in slice order, so a deletion followed by an
+// delta does not need to be sorted; an unsorted delta is sorted in a
+// copy, and delta itself is never modified. Records with the same
+// (key, MK) apply in slice order, so a deletion followed by an
 // insertion (the paper's representation of an update) nets to the
 // insertion.
 //
@@ -83,8 +86,14 @@ func (s *Store) mergeDeltas(delta []DeltaEdge, onResult func(r MergeResult) erro
 	if len(s.pending) != 0 {
 		return errors.New("mrbg: Merge re-entered before commit")
 	}
-	ds := append([]DeltaEdge(nil), delta...)
-	sort.SliceStable(ds, func(i, j int) bool { return ds[i].Key < ds[j].Key })
+	// The engines pass deltas already sorted by key; only an unsorted
+	// delta is copied and (stably, so same-(key, MK) records keep their
+	// order) sorted.
+	ds := delta
+	if !slices.IsSortedFunc(ds, compareDeltaKeys) {
+		ds = slices.Clone(delta)
+		slices.SortStableFunc(ds, compareDeltaKeys)
+	}
 
 	// Distinct affected keys, already sorted: Algorithm 1's list L.
 	keys := make([]string, 0, len(ds))
@@ -135,7 +144,8 @@ func (s *Store) mergeDeltas(delta []DeltaEdge, onResult func(r MergeResult) erro
 		for mk, v2 := range merged {
 			edges = append(edges, Edge{MK: mk, V2: v2})
 		}
-		sort.Slice(edges, func(i, j int) bool { return edges[i].MK < edges[j].MK })
+		// MKs are unique in merged, so an unstable sort is deterministic.
+		slices.SortFunc(edges, func(a, b Edge) int { return cmp.Compare(a.MK, b.MK) })
 		c := Chunk{Key: key, Edges: edges}
 		if err := onResult(MergeResult{Key: key, Chunk: c}); err != nil {
 			return err
@@ -146,6 +156,9 @@ func (s *Store) mergeDeltas(delta []DeltaEdge, onResult func(r MergeResult) erro
 	}
 	return nil
 }
+
+// compareDeltaKeys orders delta records by key alone.
+func compareDeltaKeys(a, b DeltaEdge) int { return strings.Compare(a.Key, b.Key) }
 
 // abortMerge discards everything staged since the last commit, leaving
 // the index unchanged. Bytes already flushed mid-merge remain in the

@@ -236,6 +236,51 @@ func TestMergeEmitsSortedKeys(t *testing.T) {
 	}
 }
 
+// TestMergeUnsortedDeltaMatchesSorted merges the same records once in
+// key order and once shuffled, with a same-(key, MK) deletion and
+// re-insertion that must keep their relative order. Both stores must
+// emit identical results, and the caller's slice must be left as given.
+func TestMergeUnsortedDeltaMatchesSorted(t *testing.T) {
+	sorted := []DeltaEdge{
+		{Key: "a", MK: 2, V2: "a2"},
+		{Key: "b", MK: 1, Delete: true},
+		{Key: "b", MK: 3, V2: "b3"},
+		{Key: "b", MK: 1, V2: "b1-new"},
+		{Key: "c", MK: 5, V2: "c5"},
+	}
+	unsorted := []DeltaEdge{sorted[4], sorted[1], sorted[0], sorted[2], sorted[3]}
+	given := append([]DeltaEdge(nil), unsorted...)
+	merge := func(delta []DeltaEdge) []MergeResult {
+		s := openStore(t, Options{})
+		if err := s.Put(Chunk{Key: "b", Edges: []Edge{{MK: 1, V2: "b1-old"}, {MK: 4, V2: "b4"}}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CommitBatch(); err != nil {
+			t.Fatal(err)
+		}
+		var out []MergeResult
+		if err := s.Merge(delta, func(r MergeResult) error {
+			out = append(out, r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := merge(sorted)
+	got := merge(unsorted)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("unsorted delta merged to %+v, sorted to %+v", got, want)
+	}
+	if !reflect.DeepEqual(unsorted, given) {
+		t.Fatalf("Merge reordered the caller's delta: %+v, given %+v", unsorted, given)
+	}
+	b := want[1].Chunk
+	if wantB := []Edge{{MK: 1, V2: "b1-new"}, {MK: 3, V2: "b3"}, {MK: 4, V2: "b4"}}; !reflect.DeepEqual(b.Edges, wantB) {
+		t.Fatalf("chunk b = %+v, want %+v", b.Edges, wantB)
+	}
+}
+
 func TestMergeDanglingDeleteCounted(t *testing.T) {
 	s := openStore(t, Options{})
 	err := s.Merge([]DeltaEdge{{Key: "ghost", MK: 1, Delete: true}}, func(r MergeResult) error {
